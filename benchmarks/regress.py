@@ -42,7 +42,8 @@ convergence and zero-duplicate gate.
 
 ``--serve`` switches to the query-service SLO suite
 (:mod:`benchmarks.bench_serve`): a low-pressure scenario whose served
-answers must be bit-identical to the golden engine results, and a
+answers must be bit-identical to the golden engine results and whose
+SQL P95 (the cold query on a new version) must stay under 50 ms, and a
 multi-tenant stress run whose P99 must stay under the ceiling while
 overload is shed explicitly — zero silent drops, audited on both the
 client and the server ledgers.  ``--chaos`` adds the fault-injection
@@ -50,8 +51,8 @@ variant: a breaker must trip on injected worker failures, degraded
 answers must be stale-marked, a wave of hopeless deadlines must die
 with deadline reasons, and the breaker must recover once the faults
 stop.  Results land in ``BENCH_serve.json``; quick mode shrinks the
-cohort and waives the P99 ceiling but still enforces every structural
-gate.
+cohort and waives both latency ceilings but still enforces every
+structural gate.
 
 Exit status is non-zero if, at the largest measured scale with at least
 1000 consumers, any task falls below the 5x batched speedup floor, or
@@ -635,7 +636,7 @@ def measure_serve(quick: bool, chaos: bool):
 
 
 def check_serve(body, quick: bool) -> bool:
-    """Enforce the serving SLOs; quick waives the stress-P99 ceiling."""
+    """Enforce the serving SLOs; quick waives the latency ceilings."""
     ok = True
     scenario = body["scenario"]
     for task, verdict in scenario["golden_spot_checks"].items():
@@ -673,6 +674,16 @@ def check_serve(body, quick: bool) -> bool:
         print(
             f"SERVE MISS: stress P99 {stress['latency']['p99_ms']}ms "
             f"over ceiling {stress['p99_ceiling_ms']}ms",
+            file=sys.stderr,
+        )
+        ok = False
+    sql_p95 = scenario["latency"]["sql"]["p95_ms"]
+    if not quick and (
+        sql_p95 is None or sql_p95 > scenario["sql_p95_ceiling_ms"]
+    ):
+        print(
+            f"SERVE MISS: scenario SQL P95 {sql_p95}ms over ceiling "
+            f"{scenario['sql_p95_ceiling_ms']}ms",
             file=sys.stderr,
         )
         ok = False

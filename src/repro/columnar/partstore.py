@@ -48,7 +48,7 @@ import os
 import shutil
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -642,7 +642,7 @@ class PartitionedStore:
         self.root.mkdir(parents=True, exist_ok=True)
         self._commit_listeners: list = []
 
-    def on_commit(self, callback) -> None:
+    def on_commit(self, callback) -> Callable[[], None]:
         """Register ``callback(name, commit)`` to run after every commit.
 
         Fired once per successful commit point — initial ingest, append,
@@ -653,11 +653,20 @@ class PartitionedStore:
         touch nothing (epoch redeliveries, fully-overlapping skips) do
         not fire.  Listeners must not raise: they run inline on the
         ingesting thread.
+
+        Returns an idempotent ``unsubscribe()`` that removes the
+        listener, so the store stops holding its owner alive.
         """
         self._commit_listeners.append(callback)
 
+        def unsubscribe() -> None:
+            if callback in self._commit_listeners:
+                self._commit_listeners.remove(callback)
+
+        return unsubscribe
+
     def _notify_commit(self, name: str, commit: int) -> None:
-        for callback in self._commit_listeners:
+        for callback in tuple(self._commit_listeners):
             callback(name, commit)
 
     def _table_dir(self, name: str) -> Path:

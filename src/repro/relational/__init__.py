@@ -17,7 +17,10 @@ Architecture (deliberately conventional):
 * :mod:`repro.relational.madlib` — the in-database analytics library
   (histogram, quantile, linear regression, ...) modelled on MADLib;
 * :mod:`repro.relational.layouts` — the three smart-meter table layouts of
-  Figure 9.
+  Figure 9;
+* :mod:`repro.relational.view` — the READINGS layout read in place from a
+  dataset's matrices, bit-identical to the heap with no load (what the
+  serving plane queries).
 """
 
 from repro.relational.catalog import Database

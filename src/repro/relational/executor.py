@@ -3,9 +3,13 @@
 The executor is chunk-vectorized: pages stream through as column-chunk
 environments, predicates and scalar expressions evaluate with numpy, and
 aggregates fold per-group segments.  A one-rule planner swaps the sequential
-scan for a B-tree index scan when the WHERE clause pins an indexed column
-with an equality conjunct — exactly the access path the paper's benchmark
-relies on for per-household queries.
+scan for the table's lookup path when the WHERE clause pins a column with an
+equality conjunct — on a heap table the B-tree index scan the paper's
+benchmark relies on for per-household queries.
+
+A table is anything with a ``schema``, ``scan_column_chunks(names)`` and
+``lookup(column, key)``: the heap :class:`~repro.relational.table.Table`,
+or the in-place :class:`~repro.relational.view.ReadingsView` of a dataset.
 
 Supported SQL shape is the subset of :mod:`repro.sql`; deliberate
 limitations (documented, enforced with clear errors): single-table queries,
@@ -27,7 +31,6 @@ from repro.relational.expr import (
     evaluate,
 )
 from repro.relational.functions import AGGREGATES, Aggregate
-from repro.relational.table import Table
 from repro.sql.ast import (
     BinaryOp,
     ColumnRef,
@@ -103,56 +106,29 @@ def _recombine(conjuncts: list[Expression]) -> Expression | None:
     return expr
 
 
-def _extract_index_lookup(
-    where: Expression | None, table: Table
-) -> tuple[str | None, object, Expression | None]:
-    """Find an ``indexed_col = literal`` conjunct; return (col, key, rest)."""
+def _index_access(
+    where: Expression | None, table
+) -> tuple[Iterator[dict[str, np.ndarray]] | None, Expression | None]:
+    """Find a ``column = literal`` conjunct the table has an access path for.
+
+    Returns ``(chunks, rest)``: the table's lookup chunks (None when no
+    conjunct qualifies, so the caller scans) and the residual WHERE.
+    """
     remaining: list[Expression] = []
-    index_col: str | None = None
-    key = None
+    chunks = None
     for conj in _conjuncts(where):
-        if (
-            index_col is None
-            and isinstance(conj, BinaryOp)
-            and conj.op == "="
-        ):
+        if chunks is None and isinstance(conj, BinaryOp) and conj.op == "=":
             sides = (conj.left, conj.right)
             for a, b in (sides, sides[::-1]):
-                if (
-                    isinstance(a, ColumnRef)
-                    and isinstance(b, Literal)
-                    and table.index_on(a.name) is not None
-                ):
-                    index_col = a.name
-                    key = b.value
-                    break
+                if isinstance(a, ColumnRef) and isinstance(b, Literal):
+                    chunks = table.lookup(a.name, b.value)
+                    if chunks is not None:
+                        break
             else:
                 remaining.append(conj)
             continue
         remaining.append(conj)
-    return index_col, key, _recombine(remaining)
-
-
-def _chunks_from_index(
-    table: Table, column: str, key
-) -> Iterator[dict[str, np.ndarray]]:
-    index = table.index_on(column)
-    assert index is not None
-    row_ids = index.search(key)
-    if not row_ids:
-        return
-    rows = table.fetch_rows(row_ids)
-    names = table.schema.names
-    chunk: dict[str, np.ndarray] = {}
-    for i, col in enumerate(table.schema):
-        values = [row[i] for row in rows]
-        if col.type.numpy_dtype == object:
-            arr = np.empty(len(values), dtype=object)
-            arr[:] = values
-        else:
-            arr = np.array(values, dtype=col.type.numpy_dtype)
-        chunk[names[i]] = arr
-    yield chunk
+    return chunks, _recombine(remaining)
 
 
 # Aggregation ---------------------------------------------------------------
@@ -250,12 +226,8 @@ def execute_select(
         chunks = iter([_joined_env(db, stmt, extra_fns)])
         residual_where = stmt.where
     else:
-        index_col, index_key, residual_where = _extract_index_lookup(
-            stmt.where, table
-        )
-        if index_col is not None:
-            chunks = _chunks_from_index(table, index_col, index_key)
-        else:
+        chunks, residual_where = _index_access(stmt.where, table)
+        if chunks is None:
             chunks = (
                 dict(c) for c in table.scan_column_chunks(table.schema.names)
             )
@@ -407,7 +379,7 @@ def _joined_env(db, stmt: SelectStatement, extra_fns) -> dict[str, np.ndarray]:
     return env
 
 
-def _expand_star(items: tuple[SelectItem, ...], table: Table) -> list[SelectItem]:
+def _expand_star(items: tuple[SelectItem, ...], table) -> list[SelectItem]:
     out: list[SelectItem] = []
     for item in items:
         if isinstance(item.expression, Star):

@@ -137,6 +137,34 @@ class Table:
         """The index on ``column`` if one exists."""
         return self.indexes.get(column)
 
+    def lookup(self, column: str, key) -> Iterator[dict[str, np.ndarray]] | None:
+        """The index access path for ``column = key``; None without an index.
+
+        Matching rows come back as one chunk (no chunk when none match).
+        """
+        index = self.index_on(column)
+        if index is None:
+            return None
+        return self._index_chunks(index, key)
+
+    def _index_chunks(
+        self, index: BTreeIndex, key
+    ) -> Iterator[dict[str, np.ndarray]]:
+        row_ids = index.search(key)
+        if not row_ids:
+            return
+        rows = self.fetch_rows(row_ids)
+        chunk: dict[str, np.ndarray] = {}
+        for i, col in enumerate(self.schema):
+            values = [row[i] for row in rows]
+            if col.type.numpy_dtype == object:
+                arr = np.empty(len(values), dtype=object)
+                arr[:] = values
+            else:
+                arr = np.array(values, dtype=col.type.numpy_dtype)
+            chunk[col.name] = arr
+        yield chunk
+
     # Lifecycle -------------------------------------------------------------
 
     def destroy(self) -> None:

@@ -42,11 +42,16 @@ from repro.exceptions import (
     ProtocolError,
     QueryCancelledError,
 )
-from repro.relational.catalog import Database
-from repro.relational.layouts import TableLayout, load_dataset
 from repro.relational.madlib import madlib_aggregates
+from repro.relational.view import ReadingsView, ViewCatalog
 from repro.sql.parser import parse_select
 from repro.timeseries.series import Dataset
+
+# Serve SQL never builds a heap.  The name stays importable here because
+# the end-to-end benchmark's tracer (perfbench/trace.py) patches
+# ``repro.serve.executor.load_dataset`` to time heap builds, which now
+# read zero.
+from repro.relational.layouts import load_dataset  # noqa: F401
 
 #: Query classes a circuit breaker is keyed by.
 QUERY_CLASSES = (
@@ -166,9 +171,10 @@ class QueryExecutor:
 
     Owns the dataset-version bookkeeping: the version *is* the table's
     commit counter, re-read whenever the store reports a commit.  The
-    in-memory dataset view and the SQL database are rebuilt lazily per
-    version, so an ``append_days`` ingest invalidates both without
-    stalling in-flight queries on the old view.
+    in-memory dataset view and the SQL view over it are rebuilt lazily
+    per version, so an ``append_days`` ingest invalidates both without
+    stalling in-flight queries on the old view.  :meth:`close` stops
+    following the store and drops both.
     """
 
     def __init__(
@@ -184,10 +190,10 @@ class QueryExecutor:
         self.block_consumers = int(block_consumers)
         self.spec = BenchmarkSpec(kernel=kernel)
         self.table = store.open(table_name)
-        store.on_commit(self._on_store_commit)
+        self._unsubscribe = store.on_commit(self._on_store_commit)
         self._view_lock = threading.Lock()
         self._dataset: tuple[int, Dataset] | None = None
-        self._sql_db: tuple[int, Database] | None = None
+        self._sql_views: tuple[int, ViewCatalog] | None = None
         #: Cancellation audit: blocks actually executed vs planned, per
         #: cancelled query — the "stops burning cores" evidence.  The
         #: counters are shared by all worker threads, so every increment
@@ -206,6 +212,15 @@ class QueryExecutor:
         """Re-open the table after an ingest; returns the new version."""
         self.table = self.store.open(self.table_name)
         return self.dataset_version
+
+    def close(self) -> None:
+        """Unregister the commit listener and drop the cached views, so
+        a stopped service holds no store reference to this executor."""
+        unsubscribe, self._unsubscribe = self._unsubscribe, None
+        if unsubscribe is not None:
+            unsubscribe()
+        with self._view_lock:
+            self._dataset = self._sql_views = None
 
     def _on_store_commit(self, name: str, commit: int) -> None:
         """The store's commit listener: every landed ingest of this
@@ -230,24 +245,23 @@ class QueryExecutor:
             self._dataset = (version, dataset)
         return dataset
 
-    def _sql_database(self) -> Database:
+    def _sql_catalog(self) -> ViewCatalog:
         """The SQL view of the current version, cached per version.
 
-        READINGS layout (one row per reading) so scalar aggregates and
-        GROUP BY work over plain columns, as in the paper's SQL track.
+        The READINGS layout (one row per reading) read in place from the
+        version's matrices, so scalar aggregates and GROUP BY work over
+        plain columns, as in the paper's SQL track, with no heap build.
         """
         version = self.dataset_version
         with self._view_lock:
-            if self._sql_db is not None and self._sql_db[0] == version:
-                return self._sql_db[1]
-        db = Database()
-        load_dataset(
-            db, self._current_dataset(), TableLayout.READINGS,
-            table_name=self.table_name,
+            if self._sql_views is not None and self._sql_views[0] == version:
+                return self._sql_views[1]
+        catalog = ViewCatalog(
+            ReadingsView(self.table_name, self._current_dataset())
         )
         with self._view_lock:
-            self._sql_db = (version, db)
-        return db
+            self._sql_views = (version, catalog)
+        return catalog
 
     # -- query entry points (run on worker threads) ---------------------
 
@@ -334,10 +348,10 @@ class QueryExecutor:
         token.check()
         if not isinstance(sql, str) or not sql.strip():
             raise ProtocolError("'sql' param must be a non-empty SELECT")
-        db = self._sql_database()
+        catalog = self._sql_catalog()
         token.check()
         result = execute_select(
-            db, parse_select(sql), aggregates=madlib_aggregates()
+            catalog, parse_select(sql), aggregates=madlib_aggregates()
         )
         token.check()
         rows = [[_jsonable(v) for v in row] for row in result.rows]

@@ -188,16 +188,26 @@ class QueryService:
         await self._server.serve_forever()
 
     async def stop(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        if self._dispatcher is not None:
-            self._dispatcher.cancel()
+        """Close the listener and the dispatcher, then release the executor.
+
+        The server and dispatcher references are dropped too: both hold
+        bound methods of this service, and the cycles would keep a
+        stopped service (and its executor's cached views) alive until
+        the cyclic garbage collector ran.
+        """
+        server, self._server = self._server, None
+        if server is not None:
+            server.close()
+            await server.wait_closed()
+        dispatcher, self._dispatcher = self._dispatcher, None
+        if dispatcher is not None:
+            dispatcher.cancel()
             try:
-                await self._dispatcher
+                await dispatcher
             except asyncio.CancelledError:
                 pass
         self._pool.shutdown(wait=False, cancel_futures=True)
+        self.executor.close()
 
     def breaker(self, qclass: str) -> CircuitBreaker:
         b = self.breakers.get(qclass)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import tempfile
 
 import pytest
 
@@ -497,6 +498,69 @@ class TestBlockIdentity:
         # An epoch redelivery commits nothing and must not fire.
         store.append_days("readings", batch, epoch=1)
         assert commits == [("readings", 0), ("readings", 1)]
+
+    def test_store_commit_listener_unsubscribes(self, tmp_path):
+        store = PartitionedStore(tmp_path / "hooked")
+        commits = []
+        unsubscribe = store.on_commit(
+            lambda name, commit: commits.append(commit)
+        )
+        data = make_seed_dataset(
+            SeedConfig(n_consumers=4, n_hours=48, seed=3)
+        )
+        store.ingest_dataset(data, name="readings")
+        unsubscribe()
+        unsubscribe()  # idempotent
+        store.append_days("readings", _next_day(data, seed=4))
+        assert commits == [0]
+        assert store._commit_listeners == []
+
+    def test_close_releases_the_store_listener_and_views(self, tmp_path):
+        data = make_seed_dataset(
+            SeedConfig(n_consumers=4, n_hours=48, seed=3)
+        )
+        store = PartitionedStore(tmp_path / "closing")
+        store.ingest_dataset(data, name="readings")
+        executor = QueryExecutor(store, "readings")
+        executor.run_sql("SELECT count(*) FROM readings", CancelToken())
+        assert store._commit_listeners == [executor._on_store_commit]
+        executor.close()
+        executor.close()  # idempotent
+        assert store._commit_listeners == []
+        assert executor._dataset is None and executor._sql_views is None
+
+    def test_sql_leaves_no_temp_directories(self, tmp_path, monkeypatch):
+        # The heap engine's Database puts its pages in a repro_db_* temp
+        # directory; served SQL must read the version's columns instead.
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        data = make_seed_dataset(
+            SeedConfig(n_consumers=5, n_hours=72, seed=8)
+        )
+        store = PartitionedStore(tmp_path / "store")
+        store.ingest_dataset(data, name="readings")
+        executor = QueryExecutor(store, "readings")
+        sql = (
+            "SELECT household_id, AVG(consumption) AS avg_load "
+            "FROM readings GROUP BY household_id"
+        )
+        first = executor.run_sql(sql, CancelToken())["rows"]
+        store.append_days("readings", _next_day(data, seed=9))
+        second = executor.run_sql(sql, CancelToken())["rows"]
+        assert executor.dataset_version == 1
+        assert first != second
+        assert not list(tmp_path.glob("repro_db_*"))
+
+
+def _next_day(data, seed):
+    """One more day of readings for the households of ``data``."""
+    day = make_seed_dataset(
+        SeedConfig(n_consumers=data.n_consumers, n_hours=24, seed=seed)
+    )
+    return type(data)(
+        consumer_ids=list(data.consumer_ids),
+        consumption=day.consumption,
+        temperature=day.temperature,
+    )
 
 
 def _rebuild_store(data):

@@ -11,7 +11,9 @@ cache invalidation on ingest.
 from __future__ import annotations
 
 import asyncio
+import gc
 import json
+import weakref
 
 import pytest
 
@@ -470,3 +472,48 @@ class TestDisconnect:
                 await service.stop()
 
         run(body())
+
+
+class TestLifecycle:
+    def test_stop_releases_the_executor(self, tmp_path):
+        async def body():
+            service, client = await _boot(tmp_path, _dataset())
+            sql = await client.request(
+                "sql", {"sql": "SELECT household_id, AVG(consumption) "
+                               "FROM readings GROUP BY household_id"},
+            )
+            sim = await client.request("task", {"task": "similarity"})
+            assert sql.ok and sim.ok
+            await _shutdown(service, client)
+            return service
+
+        service = run(body())
+        assert service.executor.store._commit_listeners == []
+        executor = weakref.ref(service.executor)
+        # Without cycles a stopped service (and its executor's cached
+        # views) is freed by reference counting alone.
+        gc.disable()
+        try:
+            del service
+            assert executor() is None
+        finally:
+            gc.enable()
+
+    def test_restarts_on_one_store_leave_one_listener(self, tmp_path):
+        service = QueryService.from_dataset(_dataset(), tmp_path / "store")
+        store = service.executor.store
+
+        async def body():
+            nonlocal service
+            await service.start()
+            for _ in range(5):
+                await service.stop()
+                service = QueryService(store, "readings")
+                await service.start()
+            assert store._commit_listeners == [
+                service.executor._on_store_commit
+            ]
+            await service.stop()
+
+        run(body())
+        assert store._commit_listeners == []
